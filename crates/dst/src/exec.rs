@@ -294,10 +294,10 @@ pub fn run_netstack_recovering(
             wal_dir: wal_dir.to_path_buf(),
             // Exercise both recovery paths across seeds: genesis replay
             // and snapshot-resume.
-            snapshot_every: if scenario.seed.is_multiple_of(2) {
+            snapshot_bytes: if scenario.seed.is_multiple_of(2) {
                 0
             } else {
-                8
+                128 // ≈ 8 small deliveries per checkpoint
             },
             max_restarts: 4,
             backoff: Duration::from_millis(5),
@@ -395,7 +395,7 @@ pub fn run_netstack_storage(
             // No snapshots: the flip must hit protocol records, and the
             // victim's post-transfer WAL should read as a plain adopted
             // boot when inspected by hand.
-            snapshot_every: 0,
+            snapshot_bytes: 0,
             max_restarts: 4,
             backoff: Duration::from_millis(5),
         }),

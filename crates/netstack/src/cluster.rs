@@ -100,9 +100,9 @@ impl NodeFault {
 pub struct RecoveryOptions {
     /// Directory holding one `node<i>.wal` per node (created if absent).
     pub wal_dir: PathBuf,
-    /// Per-node checkpoint cadence (see [`NodeConfig::snapshot_every`]);
-    /// 0 replays from genesis.
-    pub snapshot_every: u64,
+    /// Per-node checkpoint cadence in journaled delivery bytes (see
+    /// [`NodeConfig::snapshot_bytes`]); 0 replays from genesis.
+    pub snapshot_bytes: u64,
     /// How many restarts the supervisor will grant each node — scheduled
     /// crash-restarts and died-event-loop restarts both draw on it.
     pub max_restarts: u32,
@@ -116,7 +116,7 @@ impl Default for RecoveryOptions {
     fn default() -> Self {
         RecoveryOptions {
             wal_dir: std::env::temp_dir().join("btwal"),
-            snapshot_every: 0,
+            snapshot_bytes: 0,
             max_restarts: 4,
             backoff: Duration::from_millis(10),
         }
@@ -804,7 +804,7 @@ fn respawner<M: Wire + Send + 'static>(
     let seed = options.seed.wrapping_add(i as u64);
     let link_fault = options.link_fault.clone();
     let wal = options.recovery.as_ref().map(|r| r.wal_path(i));
-    let snapshot_every = options.recovery.as_ref().map_or(0, |r| r.snapshot_every);
+    let snapshot_bytes = options.recovery.as_ref().map_or(0, |r| r.snapshot_bytes);
     let addrs = addrs.to_vec();
     let subscriber = subscriber.clone();
     let mut incarnation: u32 = 0;
@@ -820,7 +820,7 @@ fn respawner<M: Wire + Send + 'static>(
             // is a lost log — amnesia, not a fresh start.
             expect_history: incarnation > 0,
             wal: wal.clone(),
-            snapshot_every,
+            snapshot_bytes,
             // Every incarnation records into the same registry, so the
             // node's counters survive its own restarts.
             metrics: Some(Arc::clone(&registry)),

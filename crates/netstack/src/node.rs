@@ -83,7 +83,7 @@ use crate::fault::{FaultInjector, FaultPlan, LinkAction};
 use crate::frame::{encode_chunk, Frame};
 use crate::poll::{connect_nonblocking, Dial, PollEvent, Poller};
 use crate::storage::FaultyStorage;
-use crate::wal::{BootRecord, DeliveryRecord, SnapshotRecord, Wal, WalRecord};
+use crate::wal::{BootRecord, Cadence, DeliveryRecord, SnapshotRecord, Wal, WalRecord};
 
 /// How often an amnesiac node re-probes its peers with
 /// [`Frame::StateRequest`] until `k + 1` matching answers arrive.
@@ -148,10 +148,12 @@ pub struct NodeConfig {
     /// delivery under the log-before-send invariant and recovers from
     /// the log on spawn if it already has history.
     pub wal: Option<PathBuf>,
-    /// Checkpoint cadence: compact the WAL to a snapshot after this many
-    /// processed deliveries (0 = never snapshot; replay runs from
-    /// genesis). Ignored when `wal` is `None`.
-    pub snapshot_every: u64,
+    /// Checkpoint cadence: compact the WAL to a snapshot once this many
+    /// bytes of delivery records have been journaled since the last
+    /// checkpoint (0 = never snapshot; replay runs from genesis). Counting
+    /// bytes bounds the WAL tail a restart reads, whatever the message
+    /// size. Ignored when `wal` is `None`.
+    pub snapshot_bytes: u64,
     /// The metrics registry this node records into. `None` gives the node
     /// a fresh enabled registry of its own. A supervisor that restarts
     /// nodes should pass the *same* registry to every incarnation: the
@@ -173,7 +175,7 @@ impl NodeConfig {
             fault,
             expect_history: false,
             wal: None,
-            snapshot_every: 0,
+            snapshot_bytes: 0,
             metrics: None,
         }
     }
@@ -718,8 +720,7 @@ where
         links,
         wal,
         boot,
-        snapshot_every: cfg.snapshot_every,
-        since_snapshot: 0,
+        cadence: Cadence::new(cfg.snapshot_bytes),
         sent_log: vec![Vec::new(); cfg.n],
         durable_next: Arc::clone(&durable_next),
         status: Arc::clone(&status),
@@ -866,8 +867,8 @@ struct Loop<M: Wire> {
     links: Vec<Option<Link>>,
     wal: Option<Wal>,
     boot: BootRecord,
-    snapshot_every: u64,
-    since_snapshot: u64,
+    /// Journaled delivery bytes since the last checkpoint.
+    cadence: Cadence,
     /// Per-peer journal of sent frames `(seq, payload)`, kept only when
     /// the WAL is on; pruned of acked frames at checkpoint time, what
     /// remains becomes the snapshot's retransmission backlog.
@@ -1055,12 +1056,14 @@ impl<M: Wire> Loop<M> {
                 // failed append forfeits that guarantee, so die (the
                 // panic is caught and surfaced as NodeStatus::died).
                 let append_started = self.metrics.wal_append_us.enabled().then(Instant::now);
-                wal.append(&WalRecord::Delivery(DeliveryRecord {
-                    from,
-                    seq,
-                    payload: payload.to_vec(),
-                }))
-                .expect("wal append failed: cannot guarantee no-equivocation");
+                let journaled = wal
+                    .append(&WalRecord::Delivery(DeliveryRecord {
+                        from,
+                        seq,
+                        payload: payload.to_vec(),
+                    }))
+                    .expect("wal append failed: cannot guarantee no-equivocation");
+                self.cadence.journaled(journaled);
                 if let Some(t) = append_started {
                     self.metrics.wal_append_us.record_us(t.elapsed());
                 }
@@ -1228,20 +1231,17 @@ impl<M: Wire> Loop<M> {
         }
     }
 
-    /// Compacts the WAL to boot + snapshot every `snapshot_every`
-    /// processed deliveries, if the protocol supports checkpointing.
+    /// Compacts the WAL to boot + snapshot once the cadence's byte budget
+    /// of journaled deliveries is spent, if the protocol supports
+    /// checkpointing.
     fn maybe_snapshot(&mut self) {
-        if self.snapshot_every == 0 || self.wal.is_none() || self.amnesiac {
-            return;
-        }
-        self.since_snapshot += 1;
-        if self.since_snapshot < self.snapshot_every {
+        if !self.cadence.due() || self.wal.is_none() || self.amnesiac {
             return;
         }
         let Some(process_bytes) = self.process.snapshot() else {
             return; // protocol opted out of checkpointing; replay from genesis
         };
-        self.since_snapshot = 0;
+        self.cadence.reset();
         // Retire frames the peers have acknowledged; what's left is the
         // unacked backlog a restarted node must re-offer.
         for (i, log) in self.sent_log.iter_mut().enumerate() {

@@ -425,6 +425,39 @@ fn classify(bytes: &[u8], pos: usize) -> WalDamage {
     WalDamage::MidLog { offset: pos as u64 }
 }
 
+/// The checkpoint cadence: a node compacts its WAL to a snapshot once
+/// `every` bytes of delivery records have been journaled since the last
+/// checkpoint (`0` = never). Weighing records by size rather than
+/// counting them bounds the tail a restart must read and decode, whatever
+/// the size of the messages.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cadence {
+    every: u64,
+    since: u64,
+}
+
+impl Cadence {
+    /// A cadence of `every` journaled bytes per checkpoint.
+    pub(crate) fn new(every: u64) -> Self {
+        Cadence { every, since: 0 }
+    }
+
+    /// Counts one journaled record of `bytes`.
+    pub(crate) fn journaled(&mut self, bytes: u64) {
+        self.since = self.since.saturating_add(bytes);
+    }
+
+    /// Whether a checkpoint is due.
+    pub(crate) fn due(&self) -> bool {
+        self.every != 0 && self.since >= self.every
+    }
+
+    /// Restarts the count after a checkpoint.
+    pub(crate) fn reset(&mut self) {
+        self.since = 0;
+    }
+}
+
 impl Wal {
     /// Opens (creating if absent) the log at `path` through the real
     /// filesystem, recovering every intact record. A torn tail is
@@ -469,15 +502,19 @@ impl Wal {
         ))
     }
 
-    /// Appends one record. A single `write(2)` makes the append atomic
-    /// against process death; the call returns only once the kernel owns
-    /// the bytes, which is the durability point of log-before-send.
+    /// Appends one record and returns its framed length in bytes (what
+    /// the checkpoint [`Cadence`] weighs). A single `write(2)` makes the
+    /// append atomic against process death; the call returns only once
+    /// the kernel owns the bytes, which is the durability point of
+    /// log-before-send.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        self.storage.append(&frame_record(record))
+    pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
+        let framed = frame_record(record);
+        self.storage.append(&framed)?;
+        Ok(framed.len() as u64)
     }
 
     /// Rewrites the log as `boot` + `snapshot` atomically: stage to a
@@ -540,6 +577,41 @@ mod tests {
             adopted: true,
             adopted_decision: Some(Value::One),
         })
+    }
+
+    /// Journals `payload`-sized deliveries until the cadence falls due,
+    /// returning how many records that took.
+    fn records_until_checkpoint(every: u64, payload: usize) -> usize {
+        let mut cadence = Cadence::new(every);
+        let record = delivery(1, Some(7), &vec![0xAB; payload]);
+        let bytes = frame_record(&record).len() as u64;
+        let mut records = 0;
+        while !cadence.due() {
+            cadence.journaled(bytes);
+            records += 1;
+        }
+        records
+    }
+
+    #[test]
+    fn large_deliveries_checkpoint_after_fewer_records() {
+        // The rsm default cadence, fed 1 KiB puts versus 64 B puts.
+        let every = 512 * 1024;
+        let large = records_until_checkpoint(every, 1024);
+        let small = records_until_checkpoint(every, 64);
+        assert!(large < small, "{large} large vs {small} small records");
+        assert!(large <= 512, "1 KiB records: at most 512 per checkpoint");
+        assert!(small > 4 * large, "size, not count, sets the cadence");
+        // A cadence of 1 checkpoints after every record; 0 never does.
+        assert_eq!(records_until_checkpoint(1, 0), 1);
+        let mut never = Cadence::new(0);
+        never.journaled(u64::MAX);
+        assert!(!never.due());
+        let mut reset = Cadence::new(10);
+        reset.journaled(10);
+        assert!(reset.due());
+        reset.reset();
+        assert!(!reset.due());
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn restarted_node_resends_byte_identical_frames() {
         fault: FaultPlan::reliable(),
         expect_history: false,
         wal: Some(scratch.0.join("node0.wal")),
-        snapshot_every: 0, // replay from genesis: the hardest replay path
+        snapshot_bytes: 0, // replay from genesis: the hardest replay path
         metrics: None,
     };
     let mut node = spawn(
@@ -242,7 +242,7 @@ fn relistened_socket_accepts_dials_in_the_next_event_loop() {
         fault: FaultPlan::reliable(),
         expect_history: false,
         wal: Some(scratch.0.join("node0.wal")),
-        snapshot_every: 0,
+        snapshot_bytes: 0,
         metrics: None,
     };
     let mut node = spawn(
@@ -362,7 +362,7 @@ fn supervisor_restarts_scheduled_crash_and_cluster_decides() {
             .with_crash(1, Duration::from_millis(25), Duration::from_millis(80)),
         recovery: Some(RecoveryOptions {
             wal_dir: scratch.0.clone(),
-            snapshot_every: 8,
+            snapshot_bytes: 128, // ≈ 8 small deliveries per checkpoint
             max_restarts: 4,
             backoff: Duration::from_millis(5),
         }),
@@ -420,7 +420,7 @@ fn supervisor_is_inert_on_a_healthy_run() {
     );
 }
 
-/// Instant checkpoint cadence: with `snapshot_every: 1` the WAL compacts
+/// Instant checkpoint cadence: with `snapshot_bytes: 1` the WAL compacts
 /// aggressively, so a scheduled crash restarts from a snapshot rather
 /// than genesis — the snapshot path must preserve agreement and
 /// no-equivocation exactly like full replay.
@@ -436,7 +436,7 @@ fn snapshot_restart_preserves_agreement() {
             .with_crash(2, Duration::from_millis(20), Duration::from_millis(60)),
         recovery: Some(RecoveryOptions {
             wal_dir: scratch.0.clone(),
-            snapshot_every: 1,
+            snapshot_bytes: 1,
             max_restarts: 4,
             backoff: Duration::from_millis(5),
         }),

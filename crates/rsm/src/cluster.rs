@@ -40,9 +40,9 @@ pub struct RsmClusterOptions {
     pub service: ServiceOptions,
     /// Directory holding one `rsm<i>.wal` per node. Created if absent.
     pub wal_dir: PathBuf,
-    /// WAL checkpoint cadence (deliveries between snapshots; 0 replays
-    /// from genesis).
-    pub snapshot_every: u64,
+    /// WAL checkpoint cadence: journaled delivery bytes between snapshots
+    /// (0 replays from genesis; see `netstack::NodeConfig::snapshot_bytes`).
+    pub snapshot_bytes: u64,
 }
 
 impl RsmClusterOptions {
@@ -56,7 +56,8 @@ impl RsmClusterOptions {
             replica: RsmOptions::default(),
             service: ServiceOptions::default(),
             wal_dir,
-            snapshot_every: 4096,
+            // ≈ 4096 deliveries of 128 B.
+            snapshot_bytes: 512 * 1024,
         }
     }
 }
@@ -170,7 +171,7 @@ impl RsmCluster {
             // boot record — an empty file then means the log was lost.
             expect_history: slot.incarnation > 0,
             wal: Some(slot.wal.clone()),
-            snapshot_every: self.opts.snapshot_every,
+            snapshot_bytes: self.opts.snapshot_bytes,
             metrics: Some(Arc::clone(&slot.registry)),
         };
         slot.incarnation += 1;

@@ -1,18 +1,22 @@
-//! # rsm — a replicated log service on Bracha-Toueg consensus
+//! # rsm — a replicated log service on Bracha reliable broadcast
 //!
 //! The rest of the workspace decides *one value per run*; this crate
-//! turns those one-shot protocols into a long-lived **replicated state
-//! machine**: a slot-indexed log where each slot is an independent
-//! [`bt_core::MultiValued`] consensus instance (the Figure 2 malicious
-//! protocol, bitwise-composed), with pipelining (a bounded window of
-//! undecided slots in flight), batching (many client commands per slot),
-//! and an apply loop folding committed entries into a small KV store.
+//! turns the paper's fault model into a long-lived **replicated state
+//! machine**: a slot-indexed log where each slot's batch is fixed by one
+//! Bracha reliable broadcast (the echo/ready descendant of the paper's
+//! §3.3 initial/echo acceptance) led by the slot's rotating leader, so up
+//! to `k` Byzantine replicas, leaders included, cannot make two correct
+//! replicas apply different batches. Around it: pipelining (a bounded
+//! window of undelivered slots in flight), batching (many client commands
+//! per slot), and an apply loop folding committed entries into a small KV
+//! store.
 //!
 //! The layers, bottom-up:
 //!
 //! * [`command`] — client [`Command`]s (`Put`/`Del`/`Noop`) with
 //!   per-client request ids for exactly-once application;
 //! * [`msg`] — the replica-to-replica wire protocol ([`RsmMsg`]);
+//! * `rbc` (crate-private) — one slot's echo/ready broadcast state;
 //! * [`state`] — the applied side: [`LogEntry`], the [`AppliedState`]
 //!   KV fold with chained digests, and the waitable [`LogView`];
 //! * [`replica`] — the [`Replica`] state machine composing it all, a
@@ -37,6 +41,7 @@ pub mod client;
 pub mod cluster;
 pub mod command;
 pub mod msg;
+mod rbc;
 pub mod replica;
 pub mod service;
 pub mod state;
@@ -45,6 +50,6 @@ pub use client::RsmClient;
 pub use cluster::{RsmCluster, RsmClusterOptions};
 pub use command::{Command, Op, MAX_BATCH_WIRE, MAX_KEY, MAX_VALUE};
 pub use msg::RsmMsg;
-pub use replica::{leader, word_width, Replica, RsmOptions};
+pub use replica::{leader, Replica, RsmOptions};
 pub use service::{ClientReq, ClientResp, GatewayConfig, RsmService, ServiceOptions};
 pub use state::{AppliedState, LogEntry, LogView};

@@ -1,7 +1,6 @@
-//! The replica-to-replica wire protocol: client injections, slot
-//! announcements, and slot-tagged consensus traffic.
+//! The replica-to-replica wire protocol: client injections and the three
+//! steps of each slot's reliable broadcast (announce, echo, ready).
 
-use bt_core::MultiMsg;
 use simnet::{Wire, WireError, WireReader};
 
 use crate::command::{Command, MAX_BATCH_WIRE};
@@ -18,72 +17,89 @@ pub enum RsmMsg {
         /// The commands to enqueue, in submission order.
         commands: Vec<Command>,
     },
-    /// Slot leader → all: the batch proposed for `slot`. The batch
-    /// travels beside consensus (which orders only the slot's *winner*),
-    /// so every replica learns what to apply once the slot decides.
+    /// Slot leader → all: the batch proposed for `slot` — the INIT of the
+    /// slot's reliable broadcast. Accepted only from the slot's leader.
     Announce {
         /// The slot being announced.
         slot: u64,
-        /// The proposed batch (possibly empty, for gap-fill no-ops).
+        /// The proposed batch (possibly empty, for gap-fill slots).
         commands: Vec<Command>,
     },
-    /// Slot-tagged Figure 2 traffic for `slot`'s consensus instance.
-    Decree {
-        /// The slot whose instance this message belongs to.
+    /// Any replica → all: relays the first announcement it received for
+    /// `slot`, once.
+    Echo {
+        /// The slot whose broadcast this vote belongs to.
         slot: u64,
-        /// The bit-tagged inner message.
-        msg: MultiMsg,
+        /// The echoed batch, in full.
+        commands: Vec<Command>,
     },
+    /// Any replica → all: vouches that `slot` will deliver `commands`,
+    /// once (after an echo quorum or `k+1` matching readys).
+    Ready {
+        /// The slot whose broadcast this vote belongs to.
+        slot: u64,
+        /// The batch vouched for, in full.
+        commands: Vec<Command>,
+    },
+}
+
+impl RsmMsg {
+    /// The slot a broadcast message belongs to; `None` for `Submit`.
+    #[must_use]
+    pub fn slot(&self) -> Option<u64> {
+        match self {
+            RsmMsg::Submit { .. } => None,
+            RsmMsg::Announce { slot, .. }
+            | RsmMsg::Echo { slot, .. }
+            | RsmMsg::Ready { slot, .. } => Some(*slot),
+        }
+    }
 }
 
 impl Wire for RsmMsg {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RsmMsg::Submit { commands } => {
-                out.push(0);
-                commands.encode(out);
-            }
-            RsmMsg::Announce { slot, commands } => {
-                out.push(1);
-                slot.encode(out);
-                commands.encode(out);
-            }
-            RsmMsg::Decree { slot, msg } => {
-                out.push(2);
-                slot.encode(out);
-                msg.encode(out);
-            }
+        let (tag, slot, commands) = match self {
+            RsmMsg::Submit { commands } => (0, None, commands),
+            RsmMsg::Announce { slot, commands } => (1, Some(slot), commands),
+            RsmMsg::Echo { slot, commands } => (2, Some(slot), commands),
+            RsmMsg::Ready { slot, commands } => (3, Some(slot), commands),
+        };
+        out.push(tag);
+        if let Some(slot) = slot {
+            slot.encode(out);
         }
+        commands.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let offset = r.offset();
-        match r.byte()? {
-            0 => Ok(RsmMsg::Submit {
+        let tag = r.byte()?;
+        if tag == 0 {
+            return Ok(RsmMsg::Submit {
                 commands: Vec::decode(r)?,
-            }),
-            1 => Ok(RsmMsg::Announce {
-                slot: u64::decode(r)?,
-                commands: Vec::decode(r)?,
-            }),
-            2 => Ok(RsmMsg::Decree {
-                slot: u64::decode(r)?,
-                msg: MultiMsg::decode(r)?,
-            }),
-            _ => Err(WireError::Invalid {
-                what: "rsm message discriminant",
-                offset,
-            }),
+            });
         }
+        let make: fn(u64, Vec<Command>) -> RsmMsg = match tag {
+            1 => |slot, commands| RsmMsg::Announce { slot, commands },
+            2 => |slot, commands| RsmMsg::Echo { slot, commands },
+            3 => |slot, commands| RsmMsg::Ready { slot, commands },
+            _ => {
+                return Err(WireError::Invalid {
+                    what: "rsm message discriminant",
+                    offset,
+                })
+            }
+        };
+        let slot = u64::decode(r)?;
+        Ok(make(slot, Vec::decode(r)?))
     }
 
     fn validate(&self, n: usize) -> bool {
-        match self {
-            RsmMsg::Submit { commands } | RsmMsg::Announce { commands, .. } => {
-                commands.len() <= MAX_BATCH_WIRE && commands.iter().all(|c| c.validate(n))
-            }
-            RsmMsg::Decree { msg, .. } => msg.validate(n),
-        }
+        let (RsmMsg::Submit { commands }
+        | RsmMsg::Announce { commands, .. }
+        | RsmMsg::Echo { commands, .. }
+        | RsmMsg::Ready { commands, .. }) = self;
+        commands.len() <= MAX_BATCH_WIRE && commands.iter().all(|c| c.validate(n))
     }
 }
 
@@ -91,8 +107,6 @@ impl Wire for RsmMsg {
 mod tests {
     use super::*;
     use crate::command::Op;
-    use bt_core::MaliciousMsg;
-    use simnet::{ProcessId, Value};
 
     fn cmd(client: u64, request: u64) -> Command {
         Command {
@@ -119,9 +133,13 @@ mod tests {
                 slot: 0,
                 commands: Vec::new(),
             },
-            RsmMsg::Decree {
+            RsmMsg::Echo {
                 slot: 3,
-                msg: (1, MaliciousMsg::initial(ProcessId::new(2), Value::One, 0)),
+                commands: vec![cmd(4, 4)],
+            },
+            RsmMsg::Ready {
+                slot: u64::MAX,
+                commands: Vec::new(),
             },
         ];
         for m in msgs {
@@ -131,18 +149,28 @@ mod tests {
 
     #[test]
     fn validate_guards_contents() {
-        // A decree carrying an out-of-range process id is rejected.
-        let bad = RsmMsg::Decree {
+        // Every variant caps its batch at MAX_BATCH_WIRE.
+        let fat = vec![cmd(1, 1); MAX_BATCH_WIRE + 1];
+        for m in [
+            RsmMsg::Submit {
+                commands: fat.clone(),
+            },
+            RsmMsg::Echo {
+                slot: 0,
+                commands: fat.clone(),
+            },
+            RsmMsg::Ready {
+                slot: 0,
+                commands: fat,
+            },
+        ] {
+            assert!(!m.validate(4));
+        }
+        assert!(RsmMsg::Ready {
             slot: 0,
-            msg: (0, MaliciousMsg::initial(ProcessId::new(9), Value::One, 0)),
-        };
-        assert!(!bad.validate(4));
-        assert!(bad.validate(10));
-
-        let fat = RsmMsg::Submit {
-            commands: vec![cmd(1, 1); MAX_BATCH_WIRE + 1],
-        };
-        assert!(!fat.validate(4));
+            commands: vec![cmd(1, 1)],
+        }
+        .validate(4));
     }
 
     #[test]

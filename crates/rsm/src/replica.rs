@@ -1,39 +1,46 @@
-//! The multi-decree replica: a [`Process`] that composes slot-indexed
-//! [`MultiValued`] consensus instances into a gap-free replicated log.
+//! The multi-decree replica: a [`Process`] that orders client batches
+//! into a gap-free replicated log, one reliable broadcast per slot.
 //!
 //! # Design
 //!
-//! * **Rotating leadership.** Slot `s` belongs to process `s mod n`. Every
-//!   correct replica inputs the *leader's id* to slot `s`'s consensus
-//!   instance, so unanimity validity (Figure 2) forces the decided winner
-//!   to be the leader whenever the correct replicas participate — the
-//!   decision orders *who speaks at slot `s`*, and the leader's
-//!   [`RsmMsg::Announce`] carries *what it says* (the command batch).
-//!   A decided word that is not the leader's id (impossible without a
-//!   protocol violation, but decoded bytes are adversary-controlled) is
-//!   applied as a deterministic no-op, preserving agreement.
+//! * **Rotating leadership, reliable broadcast.** Slot `s` belongs to
+//!   process `s mod n` ([`leader`]), which reliably broadcasts the slot's
+//!   command batch (Bracha's echo/ready broadcast, the descendant of the
+//!   paper's §3.3 initial/echo acceptance; the per-slot state lives in
+//!   `rbc.rs`). The leader's [`RsmMsg::Announce`] is the INIT; every
+//!   replica [`RsmMsg::Echo`]es the first announcement it receives, sends
+//!   [`RsmMsg::Ready`] after more than `(n+k)/2` matching echoes or `k+1`
+//!   matching readys, and delivers the slot after `2k+1` matching readys.
+//!   With at most `k` traitors — leaders included — two correct replicas
+//!   never deliver different batches for one slot, and once one correct
+//!   replica delivers, every correct replica does: an equivocating leader
+//!   can stall its slot but never split the log. A slot costs `n + 2n²`
+//!   message deliveries.
 //! * **Batching.** An announcement drains up to `max_batch` pending
-//!   commands into one slot, so one consensus round orders many commands.
-//! * **Pipelining.** Up to `window` slots run concurrently: a leader may
-//!   announce slot `s+1` before slot `s` decides. Commits still apply in
-//!   slot order (the apply loop never skips), so the state machine sees a
-//!   gap-free prefix. Messages for slots beyond the window are deferred
-//!   and replayed once the window slides — the transport's reliable
-//!   in-order delivery is never forfeited.
+//!   commands into one slot, so one broadcast orders many commands.
+//! * **Pipelining.** Up to `window` slots broadcast concurrently: a leader
+//!   may announce slot `s+1` before slot `s` delivers. Deliveries still
+//!   apply in slot order (the apply loop never skips), so the state
+//!   machine sees a gap-free prefix. Messages for slots beyond the window
+//!   are deferred and replayed once the window slides — the transport's
+//!   reliable in-order delivery is never forfeited.
 //! * **Message-driven gap-fill.** There are no timers: on seeing traffic
 //!   for slot `s`, a replica first announces every one of its own slots
 //!   below `s` it has not yet announced (with whatever commands are
-//!   pending, else an empty no-op batch). An idle system is therefore
-//!   fully quiescent, while under load every slot below an announced one
-//!   is eventually filled and the apply loop never stalls behind an idle
+//!   pending, else an empty batch). An idle system is therefore fully
+//!   quiescent, while under load every slot below an announced one is
+//!   eventually filled and the apply loop never stalls behind an idle
 //!   leader.
-//! * **Retired instances stay decidable for laggards.** Instances run
-//!   with [`Termination::WildcardExit`] (§3.3): a deciding instance
-//!   broadcasts its wildcard exit messages before leaving, and the
-//!   transport retransmits everything unacknowledged, so a replica that
-//!   fell behind (or recovered from its WAL) can finish a slot from the
-//!   recorded message history alone even after its peers dropped the
-//!   instance.
+//! * **A silent leader stalls the head.** A slot delivers only what its
+//!   leader announced, so a dead or withholding leader leaves its slot
+//!   open, and the in-order apply loop waits there until the leader
+//!   returns (supervised restart, WAL replay). Skipping such a slot needs
+//!   an agreement on commit-or-skip, which this replica does not run.
+//! * **Laggards finish from recorded traffic.** Every correct replica
+//!   sends its ECHO and READY once over a transport that retransmits
+//!   everything unacknowledged, so a replica that fell behind (or
+//!   recovered from its WAL) still collects `2k+1` readys for a slot its
+//!   peers have long applied.
 //!
 //! Everything the replica does is a deterministic function of the
 //! delivered message sequence (client commands arrive as journaled
@@ -44,12 +51,13 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
-use bt_core::{Config, MultiMsg, MultiValued, Termination};
+use bt_core::Config;
 use obs::metrics::{Counter, Gauge, Histogram, Registry};
 use simnet::{Ctx, Envelope, Process, ProcessId, Value, Wire, WireReader};
 
 use crate::command::Command;
 use crate::msg::RsmMsg;
+use crate::rbc::{Rbc, Vote};
 use crate::state::{LogEntry, LogView};
 
 /// The process id that leads (announces the batch for) slot `slot` in a
@@ -59,19 +67,11 @@ pub fn leader(slot: u64, n: usize) -> ProcessId {
     ProcessId::new((slot % n as u64) as usize)
 }
 
-/// Bits needed to carry a process id of a system of `n` processes through
-/// the bitwise consensus reduction.
-#[must_use]
-pub fn word_width(n: usize) -> u8 {
-    let bits = 64 - (n as u64 - 1).leading_zeros();
-    bits.max(1) as u8
-}
-
 /// Tuning knobs for pipelining and batching.
 #[derive(Clone, Copy, Debug)]
 pub struct RsmOptions {
-    /// Maximum undecided slots in flight (≥ 1). Messages for slots at or
-    /// beyond `applied + window` are deferred until the window slides.
+    /// Maximum undelivered slots in flight (≥ 1). Messages for slots at
+    /// or beyond `applied + window` are deferred until the window slides.
     pub window: u64,
     /// Maximum commands one announcement packs into a slot (≥ 1).
     pub max_batch: usize,
@@ -89,20 +89,17 @@ impl Default for RsmOptions {
 /// Replica-side telemetry, labelled `{node}`.
 #[derive(Clone, Debug)]
 struct RsmMetrics {
-    /// Slots committed and applied (no-op slots included).
+    /// Slots delivered and applied (empty gap-fill slots included).
     slots_committed: Counter,
     /// Commands applied to the KV state machine.
     commands_applied: Counter,
     /// Commands skipped as duplicates at apply time.
     commands_deduped: Counter,
-    /// Slots applied as deterministic no-ops (gap-fill announcements
-    /// count as ordinary empty batches, not no-ops).
-    noop_slots: Counter,
     /// Commands per applied slot.
     batch_commands: Histogram,
-    /// Open-to-decide latency per locally observed slot (microseconds).
+    /// Open-to-deliver latency per locally observed slot (microseconds).
     commit_latency_us: Histogram,
-    /// Consensus instances currently open.
+    /// Reliable broadcasts currently open.
     pipeline_open: Gauge,
     /// Commands accepted but not yet announced.
     pending_queue: Gauge,
@@ -122,7 +119,7 @@ impl RsmMetrics {
         RsmMetrics {
             slots_committed: registry.counter(
                 "rsm_slots_committed_total",
-                "log slots committed and applied, no-op slots included",
+                "log slots delivered and applied, empty gap-fill slots included",
                 labels,
             ),
             commands_applied: registry.counter(
@@ -135,11 +132,6 @@ impl RsmMetrics {
                 "client commands skipped as duplicate request ids",
                 labels,
             ),
-            noop_slots: registry.counter(
-                "rsm_noop_slots_total",
-                "slots applied as defensive no-ops (winner was not the leader)",
-                labels,
-            ),
             batch_commands: registry.histogram(
                 "rsm_batch_commands",
                 "commands per applied slot",
@@ -147,12 +139,12 @@ impl RsmMetrics {
             ),
             commit_latency_us: registry.histogram(
                 "rsm_commit_latency_us",
-                "slot open-to-decide latency (microseconds)",
+                "slot open-to-deliver latency of the reliable broadcast (microseconds)",
                 labels,
             ),
             pipeline_open: registry.gauge(
                 "rsm_pipeline_open",
-                "consensus instances currently open",
+                "slot broadcasts currently open",
                 labels,
             ),
             pending_queue: registry.gauge(
@@ -187,7 +179,6 @@ pub struct Replica {
     config: Config,
     me: ProcessId,
     opts: RsmOptions,
-    width: u8,
     /// Commands injected at `on_start` (deterministic workloads for
     /// simulator runs and fuzzing; empty for networked services).
     preload: Vec<Command>,
@@ -197,18 +188,15 @@ pub struct Replica {
     announce_floor: u64,
     /// The next slot to apply; everything below is in the log.
     applied: u64,
-    /// Open consensus instances, keyed by slot.
-    instances: BTreeMap<u64, MultiValued>,
-    /// Announced batches awaiting application, keyed by slot.
-    batches: BTreeMap<u64, Vec<Command>>,
-    /// Decided-but-not-yet-applied slot winners.
-    decided: BTreeMap<u64, u64>,
+    /// Open slot broadcasts (delivered ones wait here to apply in order),
+    /// keyed by slot.
+    slots: BTreeMap<u64, Rbc>,
     /// Messages for slots beyond the window, replayed when it slides.
     deferred: BTreeMap<u64, Vec<(ProcessId, RsmMsg)>>,
     deferred_len: u64,
     view: LogView,
     metrics: Option<RsmMetrics>,
-    /// Wall-clock instance-open times for live commit-latency samples.
+    /// Wall-clock slot-open times for live commit-latency samples.
     /// Never part of snapshots and never consulted for protocol
     /// decisions, so replayed runs stay byte-identical.
     opened_at: HashMap<u64, Instant>,
@@ -226,14 +214,11 @@ impl Replica {
             config,
             me,
             opts,
-            width: word_width(config.n()),
             preload: Vec::new(),
             pending: VecDeque::new(),
             announce_floor: me.index() as u64,
             applied: 0,
-            instances: BTreeMap::new(),
-            batches: BTreeMap::new(),
-            decided: BTreeMap::new(),
+            slots: BTreeMap::new(),
             deferred: BTreeMap::new(),
             deferred_len: 0,
             view: LogView::new(),
@@ -278,91 +263,52 @@ impl Replica {
         self.applied
     }
 
-    /// Currently open consensus instances (the live pipeline depth).
+    /// Currently open slot broadcasts (the live pipeline depth).
     #[must_use]
     pub fn open_instances(&self) -> usize {
-        self.instances.len()
+        self.slots.len()
     }
 
     fn n(&self) -> usize {
         self.config.n()
     }
 
-    /// Whether `slot` may have an open instance right now.
+    /// Whether `slot` may have an open broadcast right now.
     fn in_window(&self, slot: u64) -> bool {
         slot < self.applied + self.opts.window
     }
 
-    /// Runs `f` on `slot`'s instance inside a re-tagging context: the
-    /// sends the inner Figure 2 instance performs leave re-wrapped as
-    /// [`RsmMsg::Decree`]s for `slot`.
-    fn with_slot(
-        &mut self,
-        slot: u64,
-        ctx: &mut Ctx<'_, RsmMsg>,
-        f: impl FnOnce(&mut MultiValued, &mut Ctx<'_, MultiMsg>),
-    ) {
-        let mut inner_out: Vec<(ProcessId, MultiMsg)> = Vec::new();
-        {
-            let Some(inst) = self.instances.get_mut(&slot) else {
-                return;
-            };
-            let mut inner_ctx = Ctx::new(ctx.me(), ctx.n(), ctx.step(), &mut inner_out, ctx.rng());
-            f(inst, &mut inner_ctx);
-        }
-        for (to, msg) in inner_out {
-            ctx.send(to, RsmMsg::Decree { slot, msg });
-        }
-    }
-
-    /// Opens `slot`'s consensus instance (idempotent; a no-op outside the
-    /// window — the slot's announcement re-arrives through the deferred
-    /// buffer once the window slides, and opens it then). Every correct
-    /// replica inputs the slot leader's id, so unanimity validity pins
-    /// the decision to the leader.
-    fn open_slot(&mut self, slot: u64, ctx: &mut Ctx<'_, RsmMsg>) {
-        if self.instances.contains_key(&slot) || slot < self.applied || !self.in_window(slot) {
-            return;
-        }
-        let input = leader(slot, self.n()).index() as u64;
-        let inst = MultiValued::with_termination(
-            self.config,
-            self.width,
-            input,
-            Termination::WildcardExit,
-        );
-        self.instances.insert(slot, inst);
-        if ctx.live() {
-            if let Some(m) = &self.metrics {
-                if m.commit_latency_us.enabled() {
-                    self.opened_at.insert(slot, Instant::now());
-                }
+    /// `slot`'s broadcast state, opened on first use. Callers have
+    /// already dropped late traffic and deferred out-of-window traffic.
+    fn open_slot(&mut self, slot: u64, live: bool) -> &mut Rbc {
+        let n = self.n();
+        let (metrics, opened_at) = (&self.metrics, &mut self.opened_at);
+        self.slots.entry(slot).or_insert_with(|| {
+            if live
+                && metrics
+                    .as_ref()
+                    .is_some_and(|m| m.commit_latency_us.enabled())
+            {
+                opened_at.insert(slot, Instant::now());
             }
-        }
-        self.with_slot(slot, ctx, |inst, c| inst.on_start(c));
-        self.note_decision(slot, ctx);
+            Rbc::new(n)
+        })
     }
 
     /// Announces my slot `announce_floor`: drains up to `max_batch`
-    /// pending commands into a batch (possibly empty, for gap-fill),
-    /// broadcasts it, and opens the instance if the window allows. An
-    /// announcement *beyond* the window is legal (and necessary: a
-    /// leader whose next led slot lies past the window is exactly what
-    /// prompts the leaders of the lower slots to gap-fill them); its
-    /// instance opens when its self-broadcast drains from the deferred
-    /// buffer.
+    /// pending commands into a batch (possibly empty, for gap-fill) and
+    /// broadcasts it. An announcement *beyond* the window is legal (and
+    /// necessary: a leader whose next led slot lies past the window is
+    /// exactly what prompts the leaders of the lower slots to gap-fill
+    /// them); every replica, this one included, defers it until the
+    /// window reaches its slot.
     fn announce_next(&mut self, ctx: &mut Ctx<'_, RsmMsg>) {
         let slot = self.announce_floor;
         debug_assert_eq!(leader(slot, self.n()), self.me);
         self.announce_floor += self.n() as u64;
         let take = self.pending.len().min(self.opts.max_batch);
-        let batch: Vec<Command> = self.pending.drain(..take).collect();
-        self.batches.insert(slot, batch.clone());
-        ctx.broadcast(RsmMsg::Announce {
-            slot,
-            commands: batch,
-        });
-        self.open_slot(slot, ctx);
+        let commands: Vec<Command> = self.pending.drain(..take).collect();
+        ctx.broadcast(RsmMsg::Announce { slot, commands });
     }
 
     /// How far past the applied prefix this replica may announce. The
@@ -390,56 +336,24 @@ impl Replica {
         }
     }
 
-    /// Records `slot`'s decision once its instance completes.
-    fn note_decision(&mut self, slot: u64, ctx: &mut Ctx<'_, RsmMsg>) {
-        let Some(word) = self
-            .instances
-            .get(&slot)
-            .and_then(MultiValued::decided_word)
-        else {
-            return;
-        };
-        if self.decided.contains_key(&slot) {
-            return;
-        }
-        self.decided.insert(slot, word);
-        if ctx.live() {
-            if let (Some(m), Some(t0)) = (&self.metrics, self.opened_at.remove(&slot)) {
-                m.commit_latency_us.record_us(t0.elapsed());
-            }
-        }
-    }
-
-    /// Applies every decided slot at the head of the log, slides the
+    /// Applies every delivered slot at the head of the log, slides the
     /// window, replays newly in-window deferred messages (via `work`),
     /// and keeps the pipeline fed from the pending queue.
     fn progress(&mut self, ctx: &mut Ctx<'_, RsmMsg>, work: &mut VecDeque<(ProcessId, RsmMsg)>) {
         loop {
             let slot = self.applied;
-            let Some(&word) = self.decided.get(&slot) else {
+            if self.slots.get(&slot).and_then(Rbc::delivered).is_none() {
                 break;
-            };
-            let lead = leader(slot, self.n());
-            let entry = if word == lead.index() as u64 {
-                match self.batches.get(&slot) {
-                    Some(batch) => LogEntry {
-                        slot,
-                        winner: word,
-                        commands: batch.clone(),
-                    },
-                    // Decided before the leader's announcement reached us:
-                    // the batch is on its way (reliable channel), wait.
-                    None => break,
-                }
-            } else {
-                if let Some(m) = &self.metrics {
-                    m.noop_slots.inc();
-                }
-                LogEntry {
-                    slot,
-                    winner: word,
-                    commands: Vec::new(),
-                }
+            }
+            let commands = self
+                .slots
+                .remove(&slot)
+                .and_then(Rbc::into_delivered)
+                .unwrap_or_default();
+            let entry = LogEntry {
+                slot,
+                winner: leader(slot, self.n()).index() as u64,
+                commands,
             };
             if let Some(m) = &self.metrics {
                 m.slots_committed.inc();
@@ -454,9 +368,6 @@ impl Replica {
                 m.commands_applied.add(applied_delta);
                 m.commands_deduped.add(deduped_delta);
             }
-            self.decided.remove(&slot);
-            self.batches.remove(&slot);
-            self.instances.remove(&slot);
             self.opened_at.remove(&slot);
             self.applied += 1;
 
@@ -496,7 +407,7 @@ impl Replica {
 
     fn refresh_gauges(&self) {
         if let Some(m) = &self.metrics {
-            m.pipeline_open.set(self.instances.len() as u64);
+            m.pipeline_open.set(self.slots.len() as u64);
             m.pending_queue.set(self.pending.len() as u64);
             m.deferred_msgs.set(self.deferred_len);
         }
@@ -505,6 +416,37 @@ impl Replica {
     fn defer(&mut self, slot: u64, from: ProcessId, msg: RsmMsg) {
         self.deferred.entry(slot).or_default().push((from, msg));
         self.deferred_len += 1;
+    }
+
+    /// Feeds one in-window broadcast message to `slot`'s state and sends
+    /// what it owes: an ECHO for the leader's first announcement, a READY
+    /// once an echo quorum or `k+1` readys match.
+    fn step_slot(&mut self, slot: u64, from: ProcessId, msg: RsmMsg, ctx: &mut Ctx<'_, RsmMsg>) {
+        let config = self.config;
+        let rbc = self.open_slot(slot, ctx.live());
+        let was_delivered = rbc.delivered().is_some();
+        let ready = match msg {
+            RsmMsg::Announce { commands, .. } => {
+                if rbc.claim_echo() {
+                    ctx.broadcast(RsmMsg::Echo { slot, commands });
+                }
+                None
+            }
+            RsmMsg::Echo { commands, .. } => rbc.vote(&config, Vote::Echo, from.index(), commands),
+            RsmMsg::Ready { commands, .. } => {
+                rbc.vote(&config, Vote::Ready, from.index(), commands)
+            }
+            RsmMsg::Submit { .. } => None,
+        };
+        let delivered_now = !was_delivered && rbc.delivered().is_some();
+        if let Some(commands) = ready {
+            ctx.broadcast(RsmMsg::Ready { slot, commands });
+        }
+        if delivered_now && ctx.live() {
+            if let (Some(m), Some(t0)) = (&self.metrics, self.opened_at.remove(&slot)) {
+                m.commit_latency_us.record_us(t0.elapsed());
+            }
+        }
     }
 
     fn handle(
@@ -534,14 +476,15 @@ impl Replica {
                 });
                 self.pending.extend(fresh);
             }
-            RsmMsg::Announce { slot, commands } => {
+            msg => {
+                let Some(slot) = msg.slot() else { return };
                 if slot < self.applied {
                     if let Some(m) = &self.metrics {
                         m.late_messages.inc();
                     }
                     return;
                 }
-                if from != leader(slot, self.n()) {
+                if matches!(msg, RsmMsg::Announce { .. }) && from != leader(slot, self.n()) {
                     return; // only the leader speaks for its slot
                 }
                 // Gap-fill *before* the window check: traffic for a slot
@@ -550,29 +493,10 @@ impl Replica {
                 // can slide far enough to open it.
                 self.announce_up_to(slot, ctx);
                 if !self.in_window(slot) {
-                    self.defer(slot, from, RsmMsg::Announce { slot, commands });
+                    self.defer(slot, from, msg);
                     return;
                 }
-                self.batches.entry(slot).or_insert(commands);
-                self.open_slot(slot, ctx);
-            }
-            RsmMsg::Decree { slot, msg } => {
-                if slot < self.applied {
-                    if let Some(m) = &self.metrics {
-                        m.late_messages.inc();
-                    }
-                    return;
-                }
-                self.announce_up_to(slot, ctx);
-                if !self.in_window(slot) {
-                    self.defer(slot, from, RsmMsg::Decree { slot, msg });
-                    return;
-                }
-                self.open_slot(slot, ctx);
-                self.with_slot(slot, ctx, |inst, c| {
-                    inst.on_receive(Envelope::new(from, msg), c);
-                });
-                self.note_decision(slot, ctx);
+                self.step_slot(slot, from, msg, ctx);
             }
         }
         self.progress(ctx, work);
@@ -583,7 +507,7 @@ impl Replica {
     /// applied prefixes produce identical bytes on every replica.
     fn transfer_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.view.with(|a| a.log.clone()).encode(&mut out);
+        self.view.with(|a| a.log.encode(&mut out));
         out
     }
 }
@@ -625,31 +549,31 @@ impl Process for Replica {
     }
 
     fn snapshot(&self) -> Option<Vec<u8>> {
-        let mut instances: Vec<(u64, Vec<u8>)> = Vec::with_capacity(self.instances.len());
-        for (&slot, inst) in &self.instances {
-            instances.push((slot, inst.snapshot()?));
-        }
         let mut out = Vec::new();
         self.applied.encode(&mut out);
         self.announce_floor.encode(&mut out);
-        self.view.with(|a| a.log.clone()).encode(&mut out);
-        let pending: Vec<Command> = self.pending.iter().cloned().collect();
-        pending.encode(&mut out);
-        let decided: Vec<(u64, u64)> = self.decided.iter().map(|(&s, &w)| (s, w)).collect();
-        decided.encode(&mut out);
-        let batches: Vec<(u64, Vec<Command>)> =
-            self.batches.iter().map(|(&s, b)| (s, b.clone())).collect();
-        batches.encode(&mut out);
-        instances.encode(&mut out);
-        let deferred: Vec<(u64, Vec<(ProcessId, RsmMsg)>)> = self
-            .deferred
-            .iter()
-            .map(|(&s, msgs)| (s, msgs.clone()))
-            .collect();
-        deferred.encode(&mut out);
+        self.view.with(|a| a.log.encode(&mut out));
+        self.pending.len().encode(&mut out);
+        for command in &self.pending {
+            command.encode(&mut out);
+        }
+        // Encoded in place with the layout of `Vec<(u64, T)>`, which is
+        // how `restore` decodes them.
+        self.slots.len().encode(&mut out);
+        for (slot, rbc) in &self.slots {
+            slot.encode(&mut out);
+            rbc.encode(&mut out);
+        }
+        self.deferred.len().encode(&mut out);
+        for (slot, msgs) in &self.deferred {
+            slot.encode(&mut out);
+            msgs.encode(&mut out);
+        }
         Some(out)
     }
 
+    /// Decoded checkpoint bytes are untrusted: anything malformed or out
+    /// of range for this system returns `false` and leaves `self` intact.
     fn restore(&mut self, bytes: &[u8]) -> bool {
         let mut r = WireReader::new(bytes);
         let Ok(applied) = u64::decode(&mut r) else {
@@ -664,13 +588,7 @@ impl Process for Replica {
         let Ok(pending) = Vec::<Command>::decode(&mut r) else {
             return false;
         };
-        let Ok(decided) = Vec::<(u64, u64)>::decode(&mut r) else {
-            return false;
-        };
-        let Ok(batches) = Vec::<(u64, Vec<Command>)>::decode(&mut r) else {
-            return false;
-        };
-        let Ok(instances) = Vec::<(u64, Vec<u8>)>::decode(&mut r) else {
+        let Ok(slots) = Vec::<(u64, Rbc)>::decode(&mut r) else {
             return false;
         };
         let Ok(deferred) = Vec::<(u64, Vec<(ProcessId, RsmMsg)>)>::decode(&mut r) else {
@@ -682,20 +600,11 @@ impl Process for Replica {
         if announce_floor % self.n() as u64 != self.me.index() as u64 {
             return false;
         }
-        // Rebuild the instances first — a failure must leave self intact.
-        let mut restored = BTreeMap::new();
-        for (slot, state) in instances {
-            let input = leader(slot, self.n()).index() as u64;
-            let mut inst = MultiValued::with_termination(
-                self.config,
-                self.width,
-                input,
-                Termination::WildcardExit,
-            );
-            if !inst.restore(&state) {
-                return false;
-            }
-            restored.insert(slot, inst);
+        if !slots
+            .iter()
+            .all(|(slot, rbc)| *slot >= applied && rbc.validate(self.n()))
+        {
+            return false;
         }
         // Re-derive the applied state by folding the log; apply()'s
         // in-order assertion doubles as a structural check.
@@ -711,9 +620,7 @@ impl Process for Replica {
         self.applied = applied;
         self.announce_floor = announce_floor;
         self.pending = pending.into();
-        self.decided = decided.into_iter().collect();
-        self.batches = batches.into_iter().collect();
-        self.instances = restored;
+        self.slots = slots.into_iter().collect();
         self.deferred_len = deferred.iter().map(|(_, m)| m.len() as u64).sum();
         self.deferred = deferred.into_iter().collect();
         self.preload.clear();
@@ -725,7 +632,7 @@ impl Process for Replica {
     /// The replicated portion of a replica's state is exactly the applied
     /// log: every correct replica holding the same prefix encodes the
     /// same bytes, unlike [`Process::snapshot`], whose bytes carry
-    /// process-local state (announce floor, open instances, pending
+    /// process-local state (announce floor, open broadcasts, pending
     /// queue) that legitimately differs across replicas.
     fn transfer_digest(&self) -> u64 {
         netstack::fnv1a64(&self.transfer_bytes())
@@ -737,7 +644,7 @@ impl Process for Replica {
 
     /// Installs a quorum-confirmed applied log onto a fresh (amnesiac)
     /// replica. Everything process-local restarts from scratch: open
-    /// instances, batches and queued commands are rebuilt by the live
+    /// broadcasts and queued commands are rebuilt by the live
     /// protocol, and the announce floor resumes at this replica's first
     /// owned slot at or past the adopted prefix — so the rejoiner can
     /// never re-announce a slot the quorum already filled.
@@ -764,9 +671,7 @@ impl Process for Replica {
         let me = self.me.index() as u64;
         self.announce_floor = applied + ((me + n - applied % n) % n);
         self.pending.clear();
-        self.decided.clear();
-        self.batches.clear();
-        self.instances.clear();
+        self.slots.clear();
         self.deferred.clear();
         self.deferred_len = 0;
         self.preload.clear();

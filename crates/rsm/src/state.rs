@@ -26,11 +26,11 @@ pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 pub struct LogEntry {
     /// The slot index.
     pub slot: u64,
-    /// The consensus winner for the slot (the slot leader's id, or an
-    /// out-of-range word for a defensively no-op'd slot).
+    /// The slot leader's id: the replica whose reliable broadcast fixed
+    /// `commands`.
     pub winner: u64,
     /// The commands the slot carried, in announcement order. Empty for
-    /// gap-fill and no-op slots.
+    /// gap-fill slots.
     pub commands: Vec<Command>,
 }
 

@@ -88,7 +88,7 @@ fn clients_commit_and_read_through_the_service() {
 fn killed_replica_recovers_from_wal_and_converges() {
     let dir = temp_dir("recover");
     let mut opts = RsmClusterOptions::new(5, dir.clone());
-    opts.snapshot_every = 64; // exercise checkpoint + tail replay
+    opts.snapshot_bytes = 4096; // ≈ 64 small deliveries: exercise checkpoint + tail replay
     opts.service.propose_timeout = Duration::from_secs(30);
     let mut cluster = RsmCluster::start(opts).unwrap();
     let victim = 3;

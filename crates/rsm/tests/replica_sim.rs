@@ -284,3 +284,119 @@ fn transfer_hooks_round_trip_the_applied_log() {
         "rejected bytes leave the replica unchanged"
     );
 }
+
+/// Replica 0 of the two-faced-leader scenario: a real replica whose
+/// announcements to `victim` carry `forged` instead of the batch it
+/// announces to everyone else.
+#[derive(Debug)]
+struct TwoFacedLeader {
+    inner: Replica,
+    victim: ProcessId,
+    forged: Vec<Command>,
+}
+
+impl TwoFacedLeader {
+    /// Runs one step of the inner replica against a private outbox, then
+    /// forwards its sends with the victim's announcements rewritten.
+    fn relay(
+        &mut self,
+        ctx: &mut simnet::Ctx<'_, rsm::RsmMsg>,
+        step: impl FnOnce(&mut Replica, &mut simnet::Ctx<'_, rsm::RsmMsg>),
+    ) {
+        let mut out = Vec::new();
+        {
+            let mut inner = simnet::Ctx::new(ctx.me(), ctx.n(), ctx.step(), &mut out, ctx.rng());
+            step(&mut self.inner, &mut inner);
+        }
+        for (to, msg) in out {
+            let msg = match msg {
+                rsm::RsmMsg::Announce { slot, commands }
+                    if to == self.victim && !commands.is_empty() =>
+                {
+                    rsm::RsmMsg::Announce {
+                        slot,
+                        commands: self.forged.clone(),
+                    }
+                }
+                other => other,
+            };
+            ctx.send(to, msg);
+        }
+    }
+}
+
+impl simnet::Process for TwoFacedLeader {
+    type Msg = rsm::RsmMsg;
+
+    fn on_start(&mut self, ctx: &mut simnet::Ctx<'_, rsm::RsmMsg>) {
+        self.relay(ctx, |r, c| r.on_start(c));
+    }
+
+    fn on_receive(
+        &mut self,
+        env: simnet::Envelope<rsm::RsmMsg>,
+        ctx: &mut simnet::Ctx<'_, rsm::RsmMsg>,
+    ) {
+        self.relay(ctx, |r, c| r.on_receive(env, c));
+    }
+
+    fn decision(&self) -> Option<simnet::Value> {
+        None
+    }
+
+    fn phase(&self) -> u64 {
+        simnet::Process::phase(&self.inner)
+    }
+}
+
+/// A leader that announces `x = "good"` to replicas 1 and 2 but
+/// `x = "EVIL"` to replica 3 must not split the log: the correct
+/// replicas end with identical logs and never apply the forged batch.
+#[test]
+fn two_faced_leader_cannot_split_the_log() {
+    let n = 4;
+    let config = bt_core::Config::malicious(n, 1).expect("valid malicious config");
+    let views: Vec<LogView> = (0..n).map(|_| LogView::new()).collect();
+    let good = put(1, 1, b"x", b"good");
+    let evil = put(1, 1, b"x", b"EVIL");
+    let mut builder = Sim::builder();
+    let leader = Replica::new(config, ProcessId::new(0), RsmOptions::default())
+        .with_view(views[0].clone())
+        .with_preload(vec![good.clone()]);
+    builder.process(
+        Box::new(TwoFacedLeader {
+            inner: leader,
+            victim: ProcessId::new(3),
+            forged: vec![evil.clone()],
+        }),
+        Role::Faulty,
+    );
+    for (i, view) in views.iter().enumerate().skip(1) {
+        let replica =
+            Replica::new(config, ProcessId::new(i), RsmOptions::default()).with_view(view.clone());
+        builder.process(Box::new(replica), Role::Correct);
+    }
+    let report = builder
+        .seed(1)
+        .stop_when(StopWhen::Never)
+        .step_limit(200_000)
+        .build()
+        .run();
+    assert!(report.steps < 200_000, "cluster did not go quiescent");
+
+    let correct: Vec<AppliedState> = views[1..].iter().map(LogView::snapshot).collect();
+    assert_identical(&correct);
+    for (i, s) in correct.iter().enumerate() {
+        assert!(
+            s.log.iter().all(|e| !e.commands.contains(&evil)),
+            "replica {} applied the forged batch",
+            i + 1
+        );
+        assert_eq!(
+            s.kv.get(b"x".as_slice()),
+            Some(&b"good".to_vec()),
+            "replica {} lost the batch the quorum echoed",
+            i + 1
+        );
+    }
+}

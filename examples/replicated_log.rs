@@ -1,6 +1,7 @@
 //! The replicated log as a *service*: a loopback [`RsmCluster`] of four
-//! nodes, each slot an independent multi-valued Byzantine consensus
-//! instance, serving clients over the length-prefixed TCP protocol.
+//! nodes, each slot's batch fixed by a Byzantine-tolerant reliable
+//! broadcast from the slot's leader, serving clients over the
+//! length-prefixed TCP protocol.
 //!
 //! The walk-through hits the three things the `rsm` crate adds on top of
 //! the one-shot protocols:

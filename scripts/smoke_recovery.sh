@@ -54,7 +54,7 @@ for i in 0 1 2 3 4; do
     "$BTNODE" --id "$i" --n 5 --k 2 --proto failstop --input 1 \
         --listen "127.0.0.1:$((BASE + i))" $PEERS \
         --seed 7 --timeout 30 \
-        --wal "$TMP/wal/node$i.wal" --snapshot-every 8 --supervise \
+        --wal "$TMP/wal/node$i.wal" --snapshot-bytes 128 --supervise \
         >"$TMP/node$i.log" 2>&1 &
     eval "SUP$i=$!"
     PIDS="$PIDS $!"
@@ -153,7 +153,7 @@ for i in 0 1 2 3 4; do
     "$BTNODE" --id "$i" --n 5 --k 2 --proto failstop --input 1 \
         --listen "127.0.0.1:$((BASE2 + i))" $PEERS2 \
         --seed 11 --timeout 30 \
-        --wal "$TMP/wal2/node$i.wal" --snapshot-every 0 --supervise \
+        --wal "$TMP/wal2/node$i.wal" --snapshot-bytes 0 --supervise \
         >"$TMP/c-node$i.log" 2>&1 &
     eval "CSUP$i=$!"
     PIDS="$PIDS $!"

@@ -80,7 +80,7 @@ const USAGE: &str = "usage: btnode --id I --n N --k K \
 --listen HOST:PORT --peer HOST:PORT [--peer ...] \
 [--seed S] [--timeout SECS] [--jsonl PATH] [--admin PORT] \
 [--client PORT] [--window W] [--max-batch B] [--queue-depth Q] [--submit-batch S] \
-[--wal PATH [--snapshot-every STEPS] [--supervise] [--max-restarts R]]";
+[--wal PATH [--snapshot-bytes BYTES] [--supervise] [--max-restarts R]]";
 
 struct Args {
     id: usize,
@@ -101,7 +101,7 @@ struct Args {
     jsonl: Option<String>,
     admin: Option<u16>,
     wal: Option<PathBuf>,
-    snapshot_every: u64,
+    snapshot_bytes: u64,
     supervise: bool,
     max_restarts: u32,
     /// Internal (set by the supervisor on the worker it spawns): the
@@ -131,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
     let mut jsonl = None;
     let mut admin = None;
     let mut wal = None;
-    let mut snapshot_every = 0u64;
+    let mut snapshot_bytes = 0u64;
     let mut supervise = false;
     let mut max_restarts = 4u32;
     let mut listen_stdin = false;
@@ -166,8 +166,8 @@ fn parse_args() -> Result<Args, String> {
             "--jsonl" => jsonl = Some(value("--jsonl")?),
             "--admin" => admin = Some(parse(&value("--admin")?, "--admin")?),
             "--wal" => wal = Some(PathBuf::from(value("--wal")?)),
-            "--snapshot-every" => {
-                snapshot_every = parse(&value("--snapshot-every")?, "--snapshot-every")?;
+            "--snapshot-bytes" => {
+                snapshot_bytes = parse(&value("--snapshot-bytes")?, "--snapshot-bytes")?;
             }
             "--supervise" => supervise = true,
             "--max-restarts" => max_restarts = parse(&value("--max-restarts")?, "--max-restarts")?,
@@ -195,7 +195,7 @@ fn parse_args() -> Result<Args, String> {
         jsonl,
         admin,
         wal,
-        snapshot_every,
+        snapshot_bytes,
         supervise,
         max_restarts,
         listen_stdin,
@@ -591,7 +591,7 @@ fn boot<M: Wire + Send + 'static>(
         fault: FaultPlan::reliable(),
         expect_history: args.expect_wal,
         wal: args.wal.clone(),
-        snapshot_every: args.snapshot_every,
+        snapshot_bytes: args.snapshot_bytes,
         // Each worker incarnation gets a fresh registry; under
         // --supervise the counters' pre-crash values live in the WAL's
         // replay, not in memory.
@@ -670,7 +670,7 @@ fn run_rsm(args: &Args, listener: TcpListener) -> ExitCode {
         fault: FaultPlan::reliable(),
         expect_history: args.expect_wal,
         wal: args.wal.clone(),
-        snapshot_every: args.snapshot_every,
+        snapshot_bytes: args.snapshot_bytes,
         metrics: Some(Arc::clone(&registry)),
     };
     let mut node = match spawn(cfg, listener, args.peers.clone(), Box::new(replica), None) {

@@ -62,7 +62,7 @@ fn spawn_probe_node(n: usize, seed: u64) -> (NodeHandle, Vec<TcpListener>, Socke
         fault: FaultPlan::reliable(),
         expect_history: false,
         wal: None,
-        snapshot_every: 0,
+        snapshot_bytes: 0,
         metrics: None,
     };
     let node = spawn(
